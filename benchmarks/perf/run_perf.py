@@ -34,6 +34,13 @@ repo root so successive PRs can track the perf trajectory:
   polling at 20 Hz — what leaving the service flight recorder on
   costs.  ``--guard-telemetry-pct PCT`` turns that into an absolute
   CI limit (the sampler only reads, so this should stay in the noise);
+- ``import_runner_s`` / ``cold_fig8_s`` / ``client_import_s``: the
+  cold start a user pays, each timed in a fresh interpreter (best-of-3):
+  ``import repro.experiments.runner``, a whole ``python -m
+  repro.experiments.runner --fast fig8`` process with CLI defaults, and
+  ``import repro.serve.cli`` (what ``repro-serve ping`` loads).
+  ``tests/test_import_hygiene.py`` guards the imports they depend on
+  (no SciPy at run time; a NumPy- and asyncio-free client);
 - ``fig8_fast_parallel_s`` / ``sweep_parallel_speedup``: the same
   pipeline through the :mod:`repro.parallel` sweep engine with one
   worker per CPU (``sweep_jobs``), vs the serial number — the
@@ -63,8 +70,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -214,6 +224,52 @@ def bench_fig8_fast_telemetry(best_of: int = 3) -> float:
     return best
 
 
+def _fresh_process(argv: list, cwd: str) -> tuple:
+    """Run ``argv`` in a fresh interpreter; return (wall seconds, stdout)."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    start = time.perf_counter()
+    done = subprocess.run(
+        argv, cwd=cwd, env=env, check=True, capture_output=True, text=True
+    )
+    return time.perf_counter() - start, done.stdout
+
+
+def _import_s(module: str, cwd: str) -> float:
+    """Seconds a fresh interpreter spends on ``import module``."""
+    probe = (
+        "import time; t = time.perf_counter(); "
+        f"import {module}; print(time.perf_counter() - t)"
+    )
+    return float(_fresh_process([sys.executable, "-c", probe], cwd)[1])
+
+
+def bench_cold_start(best_of: int = 3) -> dict:
+    """Cold-start costs, each in a fresh process (best-of-N).
+
+    ``cold_fig8_s`` is the wall time of a whole ``--fast fig8`` CLI
+    process with default flags (its results tree is a throwaway
+    directory); the two import figures are timed inside the child, so
+    they exclude interpreter start-up.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        fig8 = [
+            sys.executable, "-m", "repro.experiments.runner", "--fast",
+            "fig8", "--results-dir", str(Path(tmp) / "results"),
+        ]
+        return {
+            "import_runner_s": round(min(
+                _import_s("repro.experiments.runner", tmp)
+                for _ in range(best_of)
+            ), 3),
+            "cold_fig8_s": round(min(
+                _fresh_process(fig8, tmp)[0] for _ in range(best_of)
+            ), 3),
+            "client_import_s": round(min(
+                _import_s("repro.serve.cli", tmp) for _ in range(best_of)
+            ), 3),
+        }
+
+
 def bench_fig8_fast_parallel(best_of: int = 3) -> dict:
     """The fig8 --fast pipeline through the process-parallel engine.
 
@@ -224,8 +280,6 @@ def bench_fig8_fast_parallel(best_of: int = 3) -> dict:
     core it degrades to pool overhead, which the report records
     honestly rather than hiding.
     """
-    import os
-
     from repro import parallel
 
     jobs = os.cpu_count() or 1
@@ -421,8 +475,6 @@ def main(argv=None) -> int:
     if guarding and args.guard_baseline.exists():
         guard_baseline = json.loads(args.guard_baseline.read_text())
 
-    import os
-
     from bench_queue import bench_queue_backends
 
     cpu_count = os.cpu_count() or 1
@@ -446,6 +498,7 @@ def main(argv=None) -> int:
     )
     results["telemetry_overhead_pct"] = telemetry_overhead_pct
     results.update(bench_fig8_fast_parallel())
+    results.update(bench_cold_start())
     results["cpu_count"] = cpu_count
     parallel_speedup = round(fig8_s / results["fig8_fast_parallel_s"], 2)
     results["sweep_parallel_speedup"] = parallel_speedup

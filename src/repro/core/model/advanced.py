@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import optimize as sciopt
 
+from repro.core.model.brent import minimize_bounded
 from repro.core.model.context import ModelContext
 from repro.errors import ModelError
 from repro.util.intmath import log_base
@@ -301,7 +301,10 @@ class AdvancedModel:
 
         A dense deterministic grid scan locates the basin (W_g is
         piecewise smooth but kinked where the active saturation case
-        changes), then a bounded scalar minimize polishes it.
+        changes), then the in-tree bounded Brent minimizer
+        (:func:`repro.core.model.brent.minimize_bounded`, a float-exact
+        port of SciPy's ``minimize_scalar(method="bounded")``) polishes
+        it within the two neighbouring grid cells.
         """
         lo = self.alpha_min()
         hi = 1.0
@@ -313,14 +316,14 @@ class AdvancedModel:
         best = int(works.argmax())
         bracket_lo = alphas[max(best - 1, 0)]
         bracket_hi = alphas[min(best + 1, grid - 1)]
-        result = sciopt.minimize_scalar(
+        x, fx = minimize_bounded(
             lambda al: -self.gpu_work(float(al)),
-            bounds=(bracket_lo, bracket_hi),
-            method="bounded",
-            options={"xatol": 1e-6},
+            bracket_lo,
+            bracket_hi,
+            xatol=1e-6,
         )
-        alpha_star = float(result.x)
-        if -result.fun < works[best]:  # polish made it worse: keep grid point
+        alpha_star = float(x)
+        if -fx < works[best]:  # polish made it worse: keep grid point
             alpha_star = float(alphas[best])
         return self.solution_at(alpha_star)
 

@@ -29,50 +29,43 @@ and the daemon answers a matching submission from ``results/`` with a
 ``docs/SERVICE.md`` for the full protocol and operational notes.
 """
 
-from repro.serve.cache import ResultCache, cache_key
-from repro.serve.daemon import JobDaemon
-from repro.serve.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    PriorityJobQueue,
-)
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    JobRequest,
-    ProtocolError,
-    canonical_request,
-    decode_message,
-    encode_message,
-    validate_request,
-)
-from repro.serve.transport import ServeServer, handle_message
-from repro.serve.client import ServeClient
+from importlib import import_module
 
-__all__ = [
-    "CANCELLED",
-    "DONE",
-    "FAILED",
-    "QUEUED",
-    "RUNNING",
-    "TERMINAL_STATES",
-    "Job",
-    "JobDaemon",
-    "JobRequest",
-    "PriorityJobQueue",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ResultCache",
-    "ServeClient",
-    "ServeServer",
-    "cache_key",
-    "canonical_request",
-    "decode_message",
-    "encode_message",
-    "handle_message",
-    "validate_request",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562) so that a client — ``repro-serve ping`` importing
+# repro.serve.cli — loads neither the daemon's asyncio stack nor the
+# cache's numpy-backed run index.
+_EXPORTS = {
+    "CANCELLED": "jobs",
+    "DONE": "jobs",
+    "FAILED": "jobs",
+    "QUEUED": "jobs",
+    "RUNNING": "jobs",
+    "TERMINAL_STATES": "jobs",
+    "Job": "jobs",
+    "JobDaemon": "daemon",
+    "JobRequest": "protocol",
+    "PriorityJobQueue": "jobs",
+    "PROTOCOL_VERSION": "protocol",
+    "ProtocolError": "protocol",
+    "ResultCache": "cache",
+    "ServeClient": "client",
+    "ServeServer": "transport",
+    "cache_key": "cache",
+    "canonical_request": "protocol",
+    "decode_message": "protocol",
+    "encode_message": "protocol",
+    "handle_message": "transport",
+    "validate_request": "protocol",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -24,7 +24,6 @@ the daemon rejects the request or the job ends ``failed``/``cancelled``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 from typing import List, Optional
@@ -70,6 +69,8 @@ def _job_exit_code(job: dict) -> int:
 # server
 # ----------------------------------------------------------------------
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.serve.daemon import JobDaemon
     from repro.serve.transport import ServeServer
 
